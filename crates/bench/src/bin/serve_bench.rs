@@ -28,12 +28,13 @@
 //! ```
 //!
 //! A sixth section isolates the cold-render hot path itself: every
-//! εKDV and τKDV tile at z ∈ {0, 2, 4} rendered once per engine mode —
-//! scalar per-pixel, SIMD per-pixel, and SIMD + tile-batched frontier
-//! refinement — so the sidecar pins the per-mode cold p99 and the
-//! scalar→batched speedup the perf work claims, together with the
-//! host's core count and SIMD capability (the numbers are meaningless
-//! without them).
+//! εKDV and τKDV tile raster at z ∈ {0, 2, 4} rendered in-process
+//! through `RenderRequest` once per engine mode — scalar per-pixel,
+//! SIMD per-pixel, and SIMD + tile-batched frontier refinement — so the
+//! sidecar pins the per-mode cold p99 and the scalar→batched speedup
+//! the perf work claims, together with the host's core count and SIMD
+//! capability (the numbers are meaningless without them). It times the
+//! engine only: no τ box certification, no PNG encoding.
 //!
 //! Set `KDV_BENCH_COLD_POINTS` to shrink the cold-start dataset for
 //! quick local runs (the committed sidecar uses the full 1M). Set
@@ -49,14 +50,18 @@ use std::time::Instant;
 
 use kdv_cluster::{Router, RouterConfig};
 use kdv_core::bandwidth::scott_gamma;
+use kdv_core::engine::{NoProbe, RenderBudget};
 use kdv_core::kernel::Kernel;
+use kdv_core::raster::RasterSpec;
 use kdv_data::Dataset;
 use kdv_index::KdTree;
 use kdv_pyramid::{geometric_ladder, PyramidBuilder, PyramidConfig};
 use kdv_server::{ServerConfig, TileServer};
 use kdv_store::{FsyncPolicy, SnapshotWriter};
 use kdv_telemetry::json::{self, Value};
-use kdv_telemetry::LogHistogram;
+use kdv_telemetry::{LogHistogram, RenderMetrics};
+use kdv_viz::tile_render::pyramid_raster;
+use kdv_viz::{ColorMap, Engine, RenderRequest, Stop};
 
 const POINTS: usize = 20_000;
 const COLD_POINTS: usize = 1_000_000;
@@ -933,30 +938,34 @@ fn pyramid_bench(tmp: &Path) -> Value {
     ])
 }
 
-/// The cold-render hot path, isolated per engine mode.
-///
-/// Three servers over the same 20k crime dataset, started one at a
-/// time (the SIMD switch is process-global, so modes must not
-/// overlap): scalar per-pixel (`--no-simd --no-batch`), SIMD
-/// per-pixel (`--no-batch`), and SIMD + tile-batched frontier
-/// refinement (the serving default). Every εKDV and τKDV tile at
-/// z ∈ {0, 2, 4} is fetched cold once per mode per round; a tile's
-/// latency is the **minimum over rounds** (cold renders are
-/// deterministic work, so the min is the run least polluted by
-/// scheduler/clock drift on a shared host), and the histograms are
-/// over the tile population. The headline `p99_speedup_batched` is
-/// taken on the aggregate z ≤ 4 population — "cold-tile p99 at
-/// z ≤ 4" — with per-zoom splits alongside. `host_cores` and the
-/// SIMD capability fields are recorded because the absolute numbers
-/// (and the SIMD column's meaning) depend on them.
+/// The cold-render refinement engine, isolated per engine mode: every
+/// εKDV and τKDV tile raster at z ∈ {0, 2, 4} of the 20k crime dataset
+/// (serving-default τ), rendered in-process through [`RenderRequest`]
+/// with its colormapped tile image — scalar per-pixel (SIMD off), SIMD
+/// per-pixel, and SIMD batched (the engine the server uses for cold
+/// full-index tiles). Engine only: every τ tile is refined in full
+/// (the server's box certification, which paints certified τ tiles
+/// wholesale, is skipped) and nothing is PNG-encoded, so the ratio is
+/// not comparable with an end-to-end HTTP measurement. A tile's
+/// latency is the **minimum over rounds**
+/// (deterministic work: the min is the run least polluted by drift on
+/// a shared host); histograms are over the tile population, and the
+/// headline `p99_speedup_batched` is the aggregate z ≤ 4 cold-tile p99
+/// ratio. `host_cores` and the SIMD capability fields are recorded
+/// because the absolute numbers depend on them.
 fn cold_path() -> Value {
     let mut points = Dataset::Crime.generate(POINTS, SEED);
     points.scale_weights(1.0 / points.len() as f64);
     let kernel = Kernel::gaussian(scott_gamma(&points).gamma);
-    const MODES: [(&str, bool, bool); 3] = [
-        ("scalar", false, false),
-        ("simd", true, false),
-        ("simd_batched", true, true),
+    let tree = KdTree::build_default(&points);
+    let serving = ServerConfig::default();
+    let base = RasterSpec::try_covering(&points, TILE_SIZE, TILE_SIZE, serving.margin_frac)
+        .expect("finite dataset");
+    let (eps, tau, cm) = (0.1, serving.tau, ColorMap::heat());
+    const MODES: [(&str, bool, Engine); 3] = [
+        ("scalar", false, Engine::PerPixel),
+        ("simd", true, Engine::PerPixel),
+        ("simd_batched", true, Engine::Batched),
     ];
 
     // Modes are interleaved in rounds rather than run as one long phase
@@ -964,7 +973,7 @@ fn cold_path() -> Value {
     // minutes-long phase would otherwise land entirely on whichever
     // mode ran last and corrupt the scalar→batched ratio. Per
     // (zoom, kind, tile, mode) the minimum latency over rounds is
-    // kept — each fetch renders the identical deterministic workload,
+    // kept — each run renders the identical deterministic workload,
     // so the min estimates the undisturbed cost and the spread across
     // *tiles* (the thing p99 is about) is preserved.
     let rounds: usize = if std::env::var("KDV_BENCH_FAST").is_ok() {
@@ -972,35 +981,34 @@ fn cold_path() -> Value {
     } else {
         3
     };
-    // zoom → tile-fetch index → mode → best-of-rounds nanoseconds.
+    // zoom → tile index → mode → best-of-rounds nanoseconds.
     let mut mins: Vec<Vec<[u64; 3]>> = LEVELS
         .iter()
         .map(|&z| vec![[u64::MAX; 3]; 2 * (1usize << z) * (1usize << z)])
         .collect();
     for _ in 0..rounds {
-        for (slot, (name, simd, batch)) in MODES.into_iter().enumerate() {
-            let config = ServerConfig {
-                tile_size: TILE_SIZE,
-                max_z: *LEVELS.iter().max().expect("levels"),
-                eps: 0.1,
-                workers: 4,
-                simd,
-                batch,
-                ..ServerConfig::default()
-            };
-            let server = TileServer::start(config, &points, kernel).expect("server start");
-            let addr = server.local_addr();
+        for (slot, (name, simd, engine)) in MODES.into_iter().enumerate() {
+            kdv_geom::simd::set_simd_enabled(simd);
             for (zi, &z) in LEVELS.iter().enumerate() {
                 let mut idx = 0usize;
-                for kind in ["eps", "tau"] {
+                for stop in [Stop::Rel(eps), Stop::Tau(tau)] {
                     for x in 0..1u32 << z {
                         for y in 0..1u32 << z {
-                            let path = format!("/tiles/{kind}/{z}/{x}/{y}.png");
+                            let raster = pyramid_raster(&base, z, x, y).expect("tile raster");
+                            let req = RenderRequest {
+                                engine,
+                                ..RenderRequest::new(&tree, kernel, &raster, stop)
+                            };
                             let start = Instant::now();
-                            let (status, body) = fetch(addr, &path);
+                            let out = req
+                                .run(
+                                    &mut RenderBudget::unlimited(),
+                                    &mut RenderMetrics::new(),
+                                    &mut NoProbe,
+                                )
+                                .unwrap_or_else(|e| panic!("z{z} {x}/{y} {stop:?} ({name}): {e}"));
+                            std::hint::black_box(out.image(&cm, (0.0, 1.0)));
                             let ns = start.elapsed().as_nanos() as u64;
-                            assert_eq!(status, 200, "{path} ({name})");
-                            assert!(body.starts_with(b"\x89PNG"), "{path}: not a PNG");
                             let slot_min = &mut mins[zi][idx][slot];
                             *slot_min = (*slot_min).min(ns);
                             idx += 1;
@@ -1008,9 +1016,9 @@ fn cold_path() -> Value {
                     }
                 }
             }
-            server.stop();
         }
     }
+    kdv_geom::simd::set_simd_enabled(true);
 
     let mut hists: Vec<[LogHistogram; 3]> = LEVELS
         .iter()

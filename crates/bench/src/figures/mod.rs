@@ -42,14 +42,6 @@ impl FigureCtx {
             seed: 20200614, // SIGMOD 2020 conference date
         }
     }
-
-    /// Context with the smoke scale (used by integration tests).
-    pub fn smoke() -> Self {
-        Self {
-            scale: RunScale::smoke(),
-            ..Self::quick()
-        }
-    }
 }
 
 /// A figure runner: produces one table per panel.
@@ -136,6 +128,43 @@ pub fn registry() -> Vec<(&'static str, &'static str, FigureFn)> {
         ("table5", "dataset inventory", tables::run_table5),
         ("table6", "method capability matrix", tables::run_table6),
     ]
+}
+
+/// A smoke-scale test context writing to its own directory under the
+/// system temp dir, removed on drop, so tests never touch the committed
+/// `target/figures` outputs.
+#[cfg(test)]
+pub(crate) struct SmokeCtx(FigureCtx);
+
+#[cfg(test)]
+impl FigureCtx {
+    pub(crate) fn smoke() -> SmokeCtx {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = format!("kdv-figures-{}-{n}", std::process::id());
+        SmokeCtx(FigureCtx {
+            scale: RunScale::smoke(),
+            out_dir: std::env::temp_dir().join(dir),
+            ..FigureCtx::quick()
+        })
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for SmokeCtx {
+    type Target = FigureCtx;
+    fn deref(&self) -> &FigureCtx {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for SmokeCtx {
+    fn drop(&mut self) {
+        // Best effort: a leftover temp dir is not worth a panic in drop.
+        let _ = std::fs::remove_dir_all(&self.0.out_dir);
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@ pub struct Args {
     consumed: std::cell::RefCell<Vec<String>>,
 }
 
-/// Flags that take no value.
+/// Flags that take no value. Retired switches (`no-batch`) stay here so
+/// they never swallow the next argument; nothing reads them, so
+/// [`Args::unknown_flags`] still reports them.
 const BOOLEAN_FLAGS: [&str; 12] = [
     "help",
     "weights",
@@ -148,6 +150,17 @@ mod tests {
         let a = parse(&["--eps", "0.01", "--typo", "x"]);
         let _ = a.get("eps");
         assert_eq!(a.unknown_flags(), vec!["typo".to_string()]);
+    }
+
+    #[test]
+    fn retired_switch_is_unknown_but_swallows_nothing() {
+        let a = parse(&["data.csv", "--no-batch", "--allow-shutdown", "--no-batch"]);
+        assert_eq!(a.positional(), ["data.csv"]);
+        assert!(a.has("allow-shutdown"));
+        assert_eq!(a.unknown_flags(), vec!["no-batch".to_string()]);
+        let a = parse(&["--no-batch", "data.csv", "--tile-size", "64"]);
+        assert_eq!(a.positional(), ["data.csv"]);
+        assert_eq!(a.get("tile-size"), Some("64"));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::args::Args;
 use kdv_cluster::{Router, RouterConfig, Supervisor, SupervisorConfig};
 use kdv_core::bandwidth::{try_scott_gamma_for, Bandwidth};
 use kdv_core::bounds::BoundFamily;
-use kdv_core::engine::{BudgetPolicy, RefineEvaluator, RenderBudget};
+use kdv_core::engine::{BudgetPolicy, NoProbe, RenderBudget};
 use kdv_core::kernel::{Kernel, KernelType};
 use kdv_core::query::{
     validate_eps, validate_gamma, validate_raster_dims, validate_tau, validate_threads,
@@ -20,12 +20,7 @@ use kdv_server::{ServerConfig, TileServer};
 use kdv_store::{Snapshot, SnapshotWriter};
 use kdv_telemetry::RenderMetrics;
 use kdv_viz::colormap::{render_binary, ColorMap};
-use kdv_viz::metered::{
-    render_eps_budgeted_metered, render_eps_metered, render_eps_parallel_budgeted_metered,
-    render_eps_parallel_metered, render_eps_progressive_metered, render_tau_metered,
-};
-use kdv_viz::parallel::render_eps_parallel;
-use kdv_viz::render::{render_eps, render_eps_progressive, render_tau};
+use kdv_viz::{Order, RenderField, RenderRequest, Stop};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -149,9 +144,9 @@ fn raster_for(args: &Args, points: &PointSet) -> Result<RasterSpec, String> {
     RasterSpec::try_covering(points, width, height, 0.03).map_err(|e| e.to_string())
 }
 
-/// Render-budget flags shared by the εKDV render path. `None` when no
-/// budget flag was given (the unbudgeted renderers run).
-fn budget_from_args(args: &Args) -> Result<Option<RenderBudget>, String> {
+/// Render-budget flags of the εKDV render path (unlimited when no
+/// budget flag was given).
+fn budget_from_args(args: &Args) -> Result<RenderBudget, String> {
     let max_work: Option<u64> = match args.get("max-work") {
         Some(v) => Some(
             v.parse()
@@ -172,9 +167,6 @@ fn budget_from_args(args: &Args) -> Result<Option<RenderBudget>, String> {
     if deadline_ms == Some(0) {
         return Err("--deadline-ms must be positive".into());
     }
-    if max_work.is_none() && deadline_ms.is_none() {
-        return Ok(None);
-    }
     let mut budget = RenderBudget::unlimited();
     if let Some(units) = max_work {
         budget = budget.with_max_work(units);
@@ -182,7 +174,7 @@ fn budget_from_args(args: &Args) -> Result<Option<RenderBudget>, String> {
     if let Some(ms) = deadline_ms {
         budget = budget.with_deadline(Duration::from_millis(ms));
     }
-    Ok(Some(budget))
+    Ok(budget)
 }
 
 fn out_path(args: &Args, default: &str) -> PathBuf {
@@ -198,6 +190,18 @@ fn save_image(img: &kdv_viz::RgbImage, path: &Path) -> Result<(), String> {
         kdv_viz::png::save_png(img, path).map_err(|e| e.to_string())
     } else {
         img.save_ppm(path).map_err(|e| e.to_string())
+    }
+}
+
+/// Warns about flags the subcommand never read (typos, unknown flags).
+/// Each flag is reported once.
+pub fn warn_unknown_flags(args: &Args) {
+    let unknown = args.unknown_flags();
+    if !unknown.is_empty() {
+        eprintln!("warning: unknown flags: --{}", unknown.join(", --"));
+        for flag in &unknown {
+            args.has(flag);
+        }
     }
 }
 
@@ -274,58 +278,37 @@ pub fn render(args: &Args) -> Result<(), String> {
     let telemetry = Telemetry::from_args(args);
     let raster = raster_for(args, &input.points)?;
     let tree = KdTree::try_build_default(&input.points).map_err(|e| e.to_string())?;
-    let make_ev = || RefineEvaluator::new(&tree, input.kernel, BoundFamily::Quadratic);
     let t0 = Instant::now();
     let mut metrics = telemetry.new_metrics(&raster);
     // A deadline starts ticking here, after parsing and indexing: the
     // budget governs rendering work, not input preparation.
-    let budget = budget_from_args(args)?;
-    let grid = match budget {
-        Some(mut budget) => {
-            let out = if threads == 1 {
-                render_eps_budgeted_metered(&mut make_ev(), &raster, eps, &mut budget, &mut metrics)
-            } else {
-                render_eps_parallel_budgeted_metered(
-                    make_ev,
-                    &raster,
-                    eps,
-                    threads,
-                    &mut budget,
-                    &mut metrics,
-                )
-            }
-            .map_err(|e| e.to_string())?;
-            if out.degraded_pixels > 0 {
-                println!(
-                    "budget exhausted after {} work units: {} of {} pixels are \
-                     best-effort midpoints (see --error-map for certified bounds)",
-                    budget.work_done(),
-                    out.degraded_pixels,
-                    raster.num_pixels()
-                );
-            }
-            if let Some(path) = &error_map_path {
-                save_image(&ColorMap::heat().render(&out.error_map, true), path)?;
-                println!("error map → {}", path.display());
-            }
-            out.grid
-        }
-        None => {
-            if error_map_path.is_some() {
-                return Err("--error-map needs a budget (--max-work or --deadline-ms); \
-                     an unbudgeted render's certified error is ε everywhere"
-                    .into());
-            }
-            match (telemetry.wanted(), threads) {
-                (true, 1) => render_eps_metered(&mut make_ev(), &raster, eps, &mut metrics),
-                (true, _) => {
-                    render_eps_parallel_metered(make_ev, &raster, eps, threads, &mut metrics)
-                }
-                (false, 1) => render_eps(&mut make_ev(), &raster, eps),
-                (false, _) => render_eps_parallel(make_ev, &raster, eps, threads),
-            }
-        }
+    let mut budget = budget_from_args(args)?;
+    if !budget.is_limited() && error_map_path.is_some() {
+        return Err("--error-map needs a budget (--max-work or --deadline-ms); \
+             an unbudgeted render's certified error is ε everywhere"
+            .into());
+    }
+    let req = RenderRequest {
+        threads,
+        ..RenderRequest::new(&tree, input.kernel, &raster, Stop::Rel(eps))
     };
+    let out = req
+        .run(&mut budget, &mut metrics, &mut NoProbe)
+        .map_err(|e| e.to_string())?;
+    if out.degraded > 0 {
+        println!(
+            "budget exhausted after {} work units: {} of {} pixels are \
+             best-effort midpoints (see --error-map for certified bounds)",
+            budget.work_done(),
+            out.degraded,
+            raster.num_pixels()
+        );
+    }
+    if let (Some(path), Some(map)) = (&error_map_path, out.error_map()) {
+        save_image(&ColorMap::heat().render(&map, true), path)?;
+        println!("error map → {}", path.display());
+    }
+    let grid = out.grid().expect("an ε render yields a density grid");
     let elapsed = t0.elapsed();
     let cm = if args.has("grayscale") {
         ColorMap::grayscale()
@@ -333,7 +316,7 @@ pub fn render(args: &Args) -> Result<(), String> {
         ColorMap::heat()
     };
     let out = out_path(args, "map.ppm");
-    save_image(&cm.render(&grid, true), &out)?;
+    save_image(&cm.render(grid, true), &out)?;
     let (lo, hi) = grid.min_max().unwrap_or((0.0, 0.0));
     println!(
         "rendered {}x{} εKDV (ε = {eps}) over {} points in {elapsed:.2?}\n\
@@ -402,15 +385,15 @@ pub fn hotspot(args: &Args) -> Result<(), String> {
         );
         mask
     } else {
-        let mut ev = RefineEvaluator::new(&tree, input.kernel, BoundFamily::Quadratic);
-        if telemetry.wanted() {
-            let mut metrics = telemetry.new_metrics(&raster);
-            let mask = render_tau_metered(&mut ev, &raster, tau, &mut metrics);
-            telemetry.emit(&metrics, "tau")?;
-            mask
-        } else {
-            render_tau(&mut ev, &raster, tau)
-        }
+        let mut metrics = telemetry.new_metrics(&raster);
+        let out = RenderRequest::new(&tree, input.kernel, &raster, Stop::Tau(tau))
+            .run(&mut RenderBudget::unlimited(), &mut metrics, &mut NoProbe)
+            .map_err(|e| e.to_string())?;
+        telemetry.emit(&metrics, "tau")?;
+        let RenderField::Mask { mask, .. } = out.field else {
+            unreachable!("a τ render yields a mask");
+        };
+        mask
     };
     let elapsed = t0.elapsed();
     let out = out_path(args, "hotspot.ppm");
@@ -441,18 +424,19 @@ pub fn progressive(args: &Args) -> Result<(), String> {
     let telemetry = Telemetry::from_args(args);
     let raster = raster_for(args, &input.points)?;
     let tree = KdTree::try_build_default(&input.points).map_err(|e| e.to_string())?;
-    let mut ev = RefineEvaluator::new(&tree, input.kernel, BoundFamily::Quadratic);
-    let budget = Some(Duration::from_millis(budget_ms));
-    let out = if telemetry.wanted() {
-        let mut metrics = telemetry.new_metrics(&raster);
-        let out = render_eps_progressive_metered(&mut ev, &raster, eps, budget, &mut metrics);
-        telemetry.emit(&metrics, "progressive")?;
-        out
-    } else {
-        render_eps_progressive(&mut ev, &raster, eps, budget)
+    let mut budget = RenderBudget::unlimited().with_deadline(Duration::from_millis(budget_ms));
+    let mut metrics = telemetry.new_metrics(&raster);
+    let req = RenderRequest {
+        order: Order::Progressive,
+        ..RenderRequest::new(&tree, input.kernel, &raster, Stop::Rel(eps))
     };
+    let out = req
+        .run(&mut budget, &mut metrics, &mut NoProbe)
+        .map_err(|e| e.to_string())?;
+    telemetry.emit(&metrics, "progressive")?;
     let path = out_path(args, "progressive.ppm");
-    save_image(&ColorMap::heat().render(&out.grid, true), &path)?;
+    let grid = out.grid().expect("an ε render yields a density grid");
+    save_image(&ColorMap::heat().render(grid, true), &path)?;
     println!(
         "progressive render: {} of {} pixels in ≤ {budget_ms} ms ({}) → {}",
         out.evaluated,
@@ -477,7 +461,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
              \x20         [--eps 0.05] [--tau T | --tau-sigma K] [--kernel ...] [--gamma G]\n\
              \x20         [--weights] [--workers 4] [--queue 64] [--cache-mb 64]\n\
              \x20         [--cache-shards 8] [--tile-max-work UNITS] [--tile-deadline-ms MS]\n\
-             \x20         [--no-trace] [--no-simd] [--no-batch]\n\
+             \x20         [--no-trace] [--no-simd]\n\
              \x20         [--trace-ring 128] [--slow-ms 100]\n\
              \x20         [--access-log PATH|-] [--allow-shutdown] [--debug-sleep]\n\
              \x20         [--port-file PATH]\n\
@@ -620,13 +604,16 @@ pub fn serve(args: &Args) -> Result<(), String> {
         memtable_points,
         compact_points,
         simd: !args.has("no-simd"),
-        batch: !args.has("no-batch"),
     };
     if config.preload && store_dir.is_none() {
         return Err("--preload only applies to --store serving".into());
     }
     let trace_on = config.trace || config.access_log.is_some();
     let slow_ms = config.slow_ms;
+    let port_file = args.get("port-file");
+    // A server runs until stopped: report flags it will never read now,
+    // not at exit.
+    warn_unknown_flags(args);
     let server = match (&store_dir, &input) {
         (Some(dir), _) => TileServer::start_with_store(config, dir),
         (None, Some((input, _))) => TileServer::start(config, &input.points, input.kernel),
@@ -671,7 +658,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     // The port file is how supervisors discover a `--addr 127.0.0.1:0`
     // shard's actual port; written only once the listener is live, so
     // the file's existence doubles as a readiness signal.
-    if let Some(path) = args.get("port-file") {
+    if let Some(path) = port_file {
         std::fs::write(path, format!("{bound}\n")).map_err(|e| format!("--port-file: {e}"))?;
     }
     term::install();

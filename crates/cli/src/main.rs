@@ -99,10 +99,7 @@ fn run() -> ExitCode {
     };
     match result {
         Ok(()) => {
-            let unknown = parsed.unknown_flags();
-            if !unknown.is_empty() {
-                eprintln!("warning: unused flags: --{}", unknown.join(", --"));
-            }
+            commands::warn_unknown_flags(&parsed);
             ExitCode::SUCCESS
         }
         Err(e) => {

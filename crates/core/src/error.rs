@@ -65,6 +65,8 @@ pub enum KdvError {
     WorkerPanicked {
         /// Index of the row band whose retry failed.
         band: usize,
+        /// The retry's panic message.
+        message: String,
     },
 }
 
@@ -96,8 +98,8 @@ impl fmt::Display for KdvError {
             KdvError::DegenerateRaster { message } => {
                 write!(f, "degenerate raster: {message}")
             }
-            KdvError::WorkerPanicked { band } => {
-                write!(f, "render worker for band {band} panicked twice")
+            KdvError::WorkerPanicked { band, message } => {
+                write!(f, "render worker for band {band} panicked twice: {message}")
             }
         }
     }
@@ -144,8 +146,12 @@ mod tests {
         }
         .to_string();
         assert!(s.contains('3') && s.contains('2'), "{s}");
-        let s = KdvError::WorkerPanicked { band: 4 }.to_string();
-        assert!(s.contains("band 4"), "{s}");
+        let s = KdvError::WorkerPanicked {
+            band: 4,
+            message: "boom".into(),
+        }
+        .to_string();
+        assert!(s.contains("band 4") && s.contains("boom"), "{s}");
     }
 
     #[test]

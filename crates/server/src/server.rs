@@ -14,8 +14,9 @@
 //!   and the worker serves follow-up requests from the same read
 //!   buffer under a short idle timeout),
 //! * the dataset's kd-tree is built **once** at startup and shared
-//!   immutably (`Arc`); each request constructs its own cheap
-//!   [`RefineEvaluator`] over the shared tree,
+//!   immutably (`Arc`); each cold full-index tile renders through a
+//!   batched [`RenderRequest`] over the shared tree (pyramid levels and
+//!   memtable deltas through their own per-pixel loops),
 //! * every tile render runs under a fresh [`RenderBudget`] issued by
 //!   the configured [`BudgetPolicy`], so one adversarial tile degrades
 //!   (HTTP `200` + `X-Kdv-Degraded`) instead of starving the pool,
@@ -47,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use kdv_core::bounds::BoundFamily;
-use kdv_core::engine::{BudgetPolicy, RefineEvaluator, TileEvaluator};
+use kdv_core::engine::{BudgetPolicy, NoProbe, RefineEvaluator};
 use kdv_core::error::KdvError;
 use kdv_core::kernel::Kernel;
 use kdv_core::raster::RasterSpec;
@@ -62,13 +63,9 @@ use kdv_telemetry::{
 };
 use kdv_viz::colormap::render_binary;
 use kdv_viz::render::BinaryGrid;
-use kdv_viz::tile_render::{
-    pyramid_raster, render_tile_eps, render_tile_eps_batched, render_tile_eps_batched_probed,
-    render_tile_eps_probed, render_tile_tau, render_tile_tau_batched,
-    render_tile_tau_batched_probed, render_tile_tau_probed, TileImage,
-};
+use kdv_viz::tile_render::{pyramid_raster, TileImage};
 use kdv_viz::tiles::{certify_box, BoxCertification};
-use kdv_viz::{png, ColorMap};
+use kdv_viz::{png, ColorMap, Engine, RenderRequest, Stop};
 
 use crate::cache::{TileCache, TileKey};
 use crate::catalog::{finish_entry, Catalog, DatasetEntry, DatasetSource, RenderSettings};
@@ -168,10 +165,6 @@ pub struct ServerConfig {
     /// `--no-simd` turns it off process-wide (the scalar path is
     /// bit-identical; this is an escape hatch for triage).
     pub simd: bool,
-    /// Route cold base-index tiles through the tile-batched frontier
-    /// engine instead of independent per-pixel refinement. Off
-    /// (`--no-batch`), every pixel refines from the kd-tree root.
-    pub batch: bool,
 }
 
 impl Default for ServerConfig {
@@ -203,7 +196,6 @@ impl Default for ServerConfig {
             memtable_points: 8192,
             compact_points: 2048,
             simd: true,
-            batch: true,
         }
     }
 }
@@ -346,10 +338,6 @@ struct Inner {
     tau: f64,
     cm: ColorMap,
     policy: BudgetPolicy,
-    /// Cold base-index tiles refine through the tile-batched frontier
-    /// engine (shared bound work amortized across the pixel block);
-    /// `--no-batch` falls back to independent per-pixel refinement.
-    batch: bool,
     max_z: u8,
     /// Deepest zoom the coreset pyramid may answer.
     pyramid_max_z: u8,
@@ -509,7 +497,6 @@ impl TileServer {
             tau: config.tau,
             cm: ColorMap::heat(),
             policy: config.policy,
-            batch: config.batch,
             max_z: config.max_z,
             pyramid_max_z: config.pyramid_max_z,
             pyramid: PyramidCounters::default(),
@@ -1815,72 +1802,40 @@ fn render_tile(
                     degraded_pixels,
                 }
             }
-            (TileKind::Eps, None) => {
-                let mut budget = inner.policy.issue();
-                if inner.batch {
-                    // Cold-render hot path: one shared node frontier
-                    // bounds the whole pixel block, so per-pixel
-                    // refinement starts deep in the tree instead of at
-                    // the root. Same ε contract, same budget units.
-                    let mut tev = TileEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                    if traced {
-                        render_tile_eps_batched_probed(
-                            &mut tev,
-                            &raster,
-                            inner.eps,
-                            &mut budget,
-                            &inner.cm,
-                            entry.scale,
-                            &mut metrics,
-                            &mut depth,
-                        )?
-                    } else {
-                        render_tile_eps_batched(
-                            &mut tev,
-                            &raster,
-                            inner.eps,
-                            &mut budget,
-                            &inner.cm,
-                            entry.scale,
-                            &mut metrics,
-                        )?
-                    }
+            // Cold full-index tiles: a τ tile whose whole box
+            // certifies is painted wholesale; the rest refine on the
+            // batched engine, where one shared node frontier bounds the
+            // pixel block so per-pixel refinement starts deep in the
+            // tree. Tracing picks only the probe: untraced requests run
+            // the bare `NoProbe` loop.
+            (kind, None) => {
+                let certified = (kind == TileKind::Tau)
+                    .then(|| certify_tau_tile(inner, entry, dataset, addr, &raster))
+                    .flatten();
+                if let Some(tile) = certified {
+                    tile
                 } else {
-                    let mut ev = RefineEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                    if traced {
-                        render_tile_eps_probed(
-                            &mut ev,
-                            &raster,
-                            inner.eps,
-                            &mut budget,
-                            &inner.cm,
-                            entry.scale,
-                            &mut metrics,
-                            &mut depth,
-                        )?
+                    let stop = match kind {
+                        TileKind::Eps => Stop::Rel(inner.eps),
+                        TileKind::Tau => Stop::Tau(inner.tau),
+                    };
+                    let req = RenderRequest {
+                        family: inner.family,
+                        engine: Engine::Batched,
+                        ..RenderRequest::new(&entry.tree, entry.kernel, &raster, stop)
+                    };
+                    let mut budget = inner.policy.issue();
+                    let out = if traced {
+                        req.run(&mut budget, &mut metrics, &mut depth)
                     } else {
-                        render_tile_eps(
-                            &mut ev,
-                            &raster,
-                            inner.eps,
-                            &mut budget,
-                            &inner.cm,
-                            entry.scale,
-                            &mut metrics,
-                        )?
+                        req.run(&mut budget, &mut metrics, &mut NoProbe)
+                    }?;
+                    TileImage {
+                        image: out.image(&inner.cm, entry.scale),
+                        degraded_pixels: out.degraded,
                     }
                 }
             }
-            (TileKind::Tau, None) => render_tau_tile(
-                inner,
-                entry,
-                dataset,
-                addr,
-                &raster,
-                &mut metrics,
-                traced,
-                &mut depth,
-            )?,
         }
     };
     rt.tb.end_with(
@@ -1913,21 +1868,17 @@ fn render_tile(
 
 /// τ tiles go through box certification first: if the whole tile's
 /// bound bracket clears τ the tile is painted wholesale without
-/// touching the per-pixel engine. Either way, the refined frontier is
-/// inherited from the parent tile and (when undecided) recorded for
-/// the children — the same reuse that makes the hierarchical τ
-/// renderer cheap, applied across pyramid levels.
-#[allow(clippy::too_many_arguments)]
-fn render_tau_tile(
+/// touching the refinement engine (`Some`). Either way, the refined
+/// frontier is inherited from the parent tile and (when undecided, `None`)
+/// recorded for the children — the same reuse that makes the
+/// hierarchical τ renderer cheap, applied across pyramid levels.
+fn certify_tau_tile(
     inner: &Inner,
     entry: &DatasetEntry,
     dataset: u32,
     addr: TileAddr,
     raster: &RasterSpec,
-    metrics: &mut RenderMetrics,
-    traced: bool,
-    depth: &mut DepthProfile,
-) -> Result<TileImage, KdvError> {
+) -> Option<TileImage> {
     let a = raster.pixel_center(0, 0);
     let b = raster.pixel_center(raster.width() - 1, raster.height() - 1);
     let tile_box = Mbr::new(
@@ -1953,7 +1904,7 @@ fn render_tau_tile(
                     }
                 }
             }
-            Ok(TileImage {
+            Some(TileImage {
                 image: render_binary(&mask),
                 degraded_pixels: 0,
             })
@@ -1965,34 +1916,11 @@ fn render_tau_tile(
                     map.insert((dataset, addr.z, addr.x, addr.y), Arc::new(frontier));
                 }
             }
-            let mut budget = inner.policy.issue();
-            if inner.batch {
-                // Box certification was inconclusive, so the tile pays
-                // for refinement; the batched engine re-derives its own
-                // (deeper) shared frontier from the root, which
-                // subsumes what the inherited certificate frontier
-                // would have seeded per-pixel.
-                let mut tev = TileEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                if traced {
-                    render_tile_tau_batched_probed(
-                        &mut tev,
-                        raster,
-                        inner.tau,
-                        &mut budget,
-                        metrics,
-                        depth,
-                    )
-                } else {
-                    render_tile_tau_batched(&mut tev, raster, inner.tau, &mut budget, metrics)
-                }
-            } else {
-                let mut ev = RefineEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                if traced {
-                    render_tile_tau_probed(&mut ev, raster, inner.tau, &mut budget, metrics, depth)
-                } else {
-                    render_tile_tau(&mut ev, raster, inner.tau, &mut budget, metrics)
-                }
-            }
+            // The tile pays for refinement; the batched engine re-derives
+            // its own (deeper) shared frontier from the root, which
+            // subsumes what the inherited certificate frontier would
+            // have seeded per pixel.
+            None
         }
     }
 }

@@ -448,6 +448,14 @@ impl DepthProfile {
             .map(|(d, &c)| (d as u64, c))
             .collect()
     }
+
+    /// Adds another profile's pops (e.g. one row band of a threaded
+    /// render) into this one.
+    pub fn merge(&mut self, other: &DepthProfile) {
+        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
+            *mine += theirs;
+        }
+    }
 }
 
 impl Probe for DepthProfile {

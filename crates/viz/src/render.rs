@@ -1,8 +1,6 @@
 //! Full-raster rendering: εKDV density grids and τKDV binary masks.
 
 use crate::progressive::progressive_order;
-use kdv_core::engine::{RefineEvaluator, RenderBudget};
-use kdv_core::error::KdvError;
 use kdv_core::method::PixelEvaluator;
 use kdv_core::raster::{DensityGrid, RasterSpec};
 use std::time::{Duration, Instant};
@@ -95,100 +93,6 @@ pub fn render_tau(ev: &mut dyn PixelEvaluator, raster: &RasterSpec, tau: f64) ->
     grid
 }
 
-/// Outcome of a budget-capped εKDV render (graceful degradation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BudgetedRender {
-    /// Density estimates: converged pixels hold their ε-accurate value,
-    /// degraded pixels the best-effort bracket midpoint.
-    pub grid: DensityGrid,
-    /// Per-pixel *achieved*-error map: a certified upper bound on
-    /// `|grid(q) − F(q)|` (the bracket half-gap at termination). Always
-    /// populated; converged pixels simply carry tiny values.
-    pub error_map: DensityGrid,
-    /// Pixels whose refinement was cut short by the budget.
-    pub degraded_pixels: u64,
-}
-
-impl BudgetedRender {
-    /// Whether every pixel met the query's own stop rule.
-    pub fn is_complete(&self) -> bool {
-        self.degraded_pixels == 0
-    }
-}
-
-/// Outcome of a budget-capped τKDV render.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BudgetedTauRender {
-    /// The classification mask; undecided pixels hold the best-effort
-    /// midpoint guess.
-    pub mask: BinaryGrid,
-    /// Marks pixels whose bracket had not cleared τ when the budget ran
-    /// out — only those may be misclassified.
-    pub undecided_map: BinaryGrid,
-    /// Number of undecided pixels.
-    pub undecided: u64,
-}
-
-/// Renders εKDV under a [`RenderBudget`]: refinement stops per pixel
-/// when its ε contract holds *or* the (render-wide) budget runs out,
-/// whichever comes first. Never panics, never spins — an exhausted
-/// budget degrades every remaining pixel to its root-bound midpoint.
-///
-/// Takes a concrete [`RefineEvaluator`] because degradation is a
-/// bound-bracket notion: the error map is the certified half-gap.
-pub fn render_eps_budgeted(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-) -> Result<BudgetedRender, KdvError> {
-    let mut grid = DensityGrid::zeros(raster.width(), raster.height());
-    let mut error_map = DensityGrid::zeros(raster.width(), raster.height());
-    let mut degraded_pixels = 0u64;
-    for row in 0..raster.height() {
-        for col in 0..raster.width() {
-            let q = raster.pixel_center(col, row);
-            let e = ev.eval_eps_budgeted(&q, eps, budget)?;
-            grid.set(col, row, e.estimate());
-            error_map.set(col, row, e.half_gap());
-            degraded_pixels += u64::from(e.exhausted);
-        }
-    }
-    Ok(BudgetedRender {
-        grid,
-        error_map,
-        degraded_pixels,
-    })
-}
-
-/// Renders τKDV under a [`RenderBudget`] (see
-/// [`render_eps_budgeted`]); undecided pixels are flagged rather than
-/// silently guessed.
-pub fn render_tau_budgeted(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    tau: f64,
-    budget: &mut RenderBudget,
-) -> Result<BudgetedTauRender, KdvError> {
-    let mut mask = BinaryGrid::falses(raster.width(), raster.height());
-    let mut undecided_map = BinaryGrid::falses(raster.width(), raster.height());
-    let mut undecided = 0u64;
-    for row in 0..raster.height() {
-        for col in 0..raster.width() {
-            let q = raster.pixel_center(col, row);
-            let t = ev.eval_tau_budgeted(&q, tau, budget)?;
-            mask.set(col, row, t.hot);
-            undecided_map.set(col, row, !t.decided);
-            undecided += u64::from(!t.decided);
-        }
-    }
-    Ok(BudgetedTauRender {
-        mask,
-        undecided_map,
-        undecided,
-    })
-}
-
 /// Outcome of a progressive render.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressiveRender {
@@ -233,38 +137,6 @@ pub fn render_eps_progressive(
         complete: evaluated == steps.len(),
         evaluated,
     }
-}
-
-/// Progressive rendering under a [`RenderBudget`] — work-unit and
-/// deadline caps instead of (or alongside) the wall-clock `Duration` of
-/// [`render_eps_progressive`]. The coarse-to-fine order makes this the
-/// natural degradation mode: exhaustion stops descent and the canvas
-/// stays fully painted at the coarsest completed level, and pixels
-/// evaluated *while* the budget ran out degrade to bracket midpoints
-/// individually.
-pub fn render_eps_progressive_budgeted(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-) -> Result<ProgressiveRender, KdvError> {
-    let steps = progressive_order(raster.width(), raster.height());
-    let mut canvas = ProgressiveCanvas::new(raster.width(), raster.height());
-    let mut evaluated = 0usize;
-    for step in &steps {
-        if evaluated > 0 && budget.is_exhausted() {
-            break;
-        }
-        let q = raster.pixel_center(step.col, step.row);
-        let e = ev.eval_eps_budgeted(&q, eps, budget)?;
-        evaluated += 1;
-        canvas.apply(step, e.estimate());
-    }
-    Ok(ProgressiveRender {
-        grid: canvas.into_grid(),
-        complete: evaluated == steps.len() && !budget.is_exhausted(),
-        evaluated,
-    })
 }
 
 /// Incremental canvas for progressive rendering.
@@ -423,126 +295,6 @@ mod tests {
             "finer prefixes must not be worse: {errors:?}"
         );
         assert!(errors[errors.len() - 1] <= 0.01, "full render meets ε");
-    }
-
-    #[test]
-    fn unlimited_budgeted_render_matches_plain() {
-        let (ps, kernel, raster) = setup();
-        let tree = KdTree::build_default(&ps);
-        let mut a = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut b = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let plain = render_eps(&mut a, &raster, 0.01);
-        let mut budget = RenderBudget::unlimited();
-        let out = render_eps_budgeted(&mut b, &raster, 0.01, &mut budget).expect("valid input");
-        assert!(out.is_complete());
-        assert_eq!(out.grid, plain, "unlimited budget must not change output");
-        // Error map is populated even for converged pixels, and honors ε.
-        for row in 0..raster.height() {
-            for col in 0..raster.width() {
-                let err = out.error_map.get(col, row);
-                let v = out.grid.get(col, row);
-                assert!(err >= 0.0 && err <= 0.5 * 0.01 * v.abs() + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn exhausted_budget_degrades_but_error_map_upper_bounds_truth() {
-        let (ps, kernel, raster) = setup();
-        let tree = KdTree::build_default(&ps);
-        let mut exact = ExactScan::new(&ps, kernel);
-        let truth = render_eps(&mut exact, &raster, 0.01);
-        let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        // ~3 work units per pixel: enough for root bounds, far short of
-        // ε = 1e-6 convergence.
-        let cap = 3 * raster.num_pixels() as u64;
-        let mut budget = RenderBudget::unlimited().with_max_work(cap);
-        let out = render_eps_budgeted(&mut ev, &raster, 1e-6, &mut budget).expect("valid input");
-        assert!(out.degraded_pixels > 0, "tiny budget must degrade pixels");
-        assert!(budget.is_exhausted());
-        for row in 0..raster.height() {
-            for col in 0..raster.width() {
-                let v = out.grid.get(col, row);
-                let err = out.error_map.get(col, row);
-                let f = truth.get(col, row);
-                assert!(
-                    (v - f).abs() <= err + 1e-9 * (1.0 + f.abs()),
-                    "({col},{row}): |{v} − {f}| exceeds certified error {err}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_tau_flags_undecided_pixels() {
-        let (ps, kernel, raster) = setup();
-        let tree = KdTree::build_default(&ps);
-        let mut exact = ExactScan::new(&ps, kernel);
-        let truth = render_eps(&mut exact, &raster, 0.01);
-        let (lo, hi) = truth.min_max().expect("non-empty");
-        let tau = lo + 0.4 * (hi - lo);
-
-        // Unlimited: everything decided and matching the plain mask.
-        let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut unlimited = RenderBudget::unlimited();
-        let full = render_tau_budgeted(&mut ev, &raster, tau, &mut unlimited).expect("valid");
-        assert_eq!(full.undecided, 0);
-        let plain = render_tau(
-            &mut RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic),
-            &raster,
-            tau,
-        );
-        assert_eq!(full.mask, plain);
-
-        // Tiny budget: every *decided* pixel still agrees with truth.
-        let mut tiny = RenderBudget::unlimited().with_max_work(raster.num_pixels() as u64);
-        let mut ev2 = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let out = render_tau_budgeted(&mut ev2, &raster, tau, &mut tiny).expect("valid");
-        for row in 0..raster.height() {
-            for col in 0..raster.width() {
-                let f = truth.get(col, row);
-                // Exactly-at-τ pixels depend on summation order; every
-                // other decided pixel must match the exact answer.
-                if !out.undecided_map.get(col, row) && (f - tau).abs() > 1e-9 * (1.0 + f.abs()) {
-                    assert_eq!(
-                        out.mask.get(col, row),
-                        f >= tau,
-                        "decided pixel ({col},{row}) must be correct"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn progressive_budgeted_paints_fully_under_tiny_budget() {
-        let (ps, kernel, raster) = setup();
-        let tree = KdTree::build_default(&ps);
-        let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut tiny = RenderBudget::unlimited().with_max_work(50);
-        let out = render_eps_progressive_budgeted(&mut ev, &raster, 0.01, &mut tiny)
-            .expect("valid input");
-        assert!(!out.complete);
-        assert!(out.evaluated >= 1);
-        assert!(out.grid.min_max().is_some(), "grid fully painted");
-
-        let mut ev2 = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut unlimited = RenderBudget::unlimited();
-        let full = render_eps_progressive_budgeted(&mut ev2, &raster, 0.01, &mut unlimited)
-            .expect("valid input");
-        assert!(full.complete);
-        assert_eq!(full.evaluated, raster.num_pixels());
-    }
-
-    #[test]
-    fn budgeted_render_rejects_bad_eps() {
-        let (ps, kernel, raster) = setup();
-        let tree = KdTree::build_default(&ps);
-        let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut budget = RenderBudget::unlimited();
-        assert!(render_eps_budgeted(&mut ev, &raster, 0.0, &mut budget).is_err());
-        assert!(render_eps_budgeted(&mut ev, &raster, f64::NAN, &mut budget).is_err());
-        assert!(render_tau_budgeted(&mut ev, &raster, -1.0, &mut budget).is_err());
     }
 
     #[test]

@@ -7,21 +7,13 @@
 //! [`RasterSpec`]'s row-0-on-top orientation). [`pyramid_raster`] maps
 //! an address to the raster of exactly that window — via
 //! [`RasterSpec::sub_window`], the same pixel→data-space arithmetic
-//! the tiled τ renderer splits quadrants with — and the two
-//! `render_tile_*` helpers produce colormapped tile images under a
-//! per-request [`RenderBudget`], degrading to certified midpoints
-//! instead of overrunning.
+//! the tiled τ renderer splits quadrants with. A tile renders through
+//! [`crate::RenderRequest`] (batched engine, per-request budget) into a
+//! [`TileImage`].
 
-use crate::colormap::ColorMap;
 use crate::image::RgbImage;
-use crate::metered::{render_eps_budgeted_metered_probed, render_tau_budgeted_metered_probed};
-use crate::render::BinaryGrid;
-use kdv_core::engine::{NoProbe, Probe, RefineEvaluator, RenderBudget, TileEvaluator};
 use kdv_core::error::KdvError;
-use kdv_core::query::{validate_eps, validate_tau};
-use kdv_core::raster::{DensityGrid, RasterSpec};
-use kdv_telemetry::{RenderMetrics, TracingProbe};
-use std::time::Instant;
+use kdv_core::raster::RasterSpec;
 
 /// Deepest zoom level a pyramid address may name. `tile_size << z`
 /// must fit a `u32` raster dimension; 20 levels over a 256-px tile is
@@ -86,205 +78,18 @@ pub struct TileImage {
     pub degraded_pixels: u64,
 }
 
-impl TileImage {
-    /// Whether every pixel met its quality contract.
-    pub fn is_complete(&self) -> bool {
-        self.degraded_pixels == 0
-    }
-}
-
-/// Renders one εKDV tile under `budget`, colormapped against the
-/// map-wide density range `(lo, hi)` (see [`ColorMap::render_scaled`]
-/// for why tiles must not self-normalize). Refinement telemetry
-/// accumulates into `metrics` — a long-running server merges these
-/// per-tile metrics into its live `/metrics` aggregate.
-pub fn render_tile_eps(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-    cm: &ColorMap,
-    scale: (f64, f64),
-    metrics: &mut RenderMetrics,
-) -> Result<TileImage, KdvError> {
-    render_tile_eps_probed(ev, raster, eps, budget, cm, scale, metrics, &mut NoProbe)
-}
-
-/// [`render_tile_eps`] with an additional caller-supplied probe teed
-/// into the refinement loop — how the tile server attributes one
-/// request's work (e.g. a [`kdv_telemetry::DepthProfile`]) without
-/// touching the shared metrics aggregate. [`NoProbe`] reduces it to
-/// the plain tile renderer.
-#[allow(clippy::too_many_arguments)]
-pub fn render_tile_eps_probed<X: Probe>(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-    cm: &ColorMap,
-    scale: (f64, f64),
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<TileImage, KdvError> {
-    let out = render_eps_budgeted_metered_probed(ev, raster, eps, budget, metrics, extra)?;
-    Ok(TileImage {
-        image: cm.render_scaled(&out.grid, scale.0, scale.1, true),
-        degraded_pixels: out.degraded_pixels,
-    })
-}
-
-/// Renders one τKDV tile under `budget` with the paper's two-color
-/// convention; undecided pixels count as degraded. Telemetry
-/// accumulates into `metrics` as in [`render_tile_eps`].
-pub fn render_tile_tau(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    tau: f64,
-    budget: &mut RenderBudget,
-    metrics: &mut RenderMetrics,
-) -> Result<TileImage, KdvError> {
-    render_tile_tau_probed(ev, raster, tau, budget, metrics, &mut NoProbe)
-}
-
-/// [`render_tile_tau`] with an additional caller-supplied probe,
-/// exactly as [`render_tile_eps_probed`].
-pub fn render_tile_tau_probed<X: Probe>(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    tau: f64,
-    budget: &mut RenderBudget,
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<TileImage, KdvError> {
-    let out = render_tau_budgeted_metered_probed(ev, raster, tau, budget, metrics, extra)?;
-    Ok(TileImage {
-        image: crate::colormap::render_binary(&out.mask),
-        degraded_pixels: out.undecided,
-    })
-}
-
-/// [`render_tile_eps`] on the tile-batched refinement path: one shared
-/// node frontier per pixel block instead of a fresh root-to-leaf
-/// refinement per pixel (see [`TileEvaluator`]). Same per-pixel ε
-/// contract, same budget accounting, same colormap pipeline — the
-/// cold-tile fast path the server uses unless `--no-batch` disables it.
-pub fn render_tile_eps_batched(
-    tev: &mut TileEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-    cm: &ColorMap,
-    scale: (f64, f64),
-    metrics: &mut RenderMetrics,
-) -> Result<TileImage, KdvError> {
-    render_tile_eps_batched_probed(tev, raster, eps, budget, cm, scale, metrics, &mut NoProbe)
-}
-
-/// [`render_tile_eps_batched`] with an additional caller-supplied
-/// probe, mirroring [`render_tile_eps_probed`].
-///
-/// Per-pixel latency is not individually attributable on the batched
-/// path (block-level work is shared), so the latency histogram
-/// receives zeros; wall time and every event counter stay accurate.
-#[allow(clippy::too_many_arguments)]
-pub fn render_tile_eps_batched_probed<X: Probe>(
-    tev: &mut TileEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-    cm: &ColorMap,
-    scale: (f64, f64),
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<TileImage, KdvError> {
-    validate_eps(eps)?;
-    let start = Instant::now();
-    let tile = tev.eval_tile_eps_with(
-        raster,
-        eps,
-        budget,
-        &mut TracingProbe::new(&mut metrics.events, &mut *extra),
-    );
-    let mut grid = DensityGrid::zeros(raster.width(), raster.height());
-    let mut degraded_pixels = 0u64;
-    for row in 0..raster.height() {
-        for col in 0..raster.width() {
-            let idx = (row * raster.width() + col) as usize;
-            let e = tile.evals[idx];
-            grid.set(col, row, e.estimate());
-            metrics.record_pixel(col, row, &tile.stats[idx], 0);
-            if e.exhausted {
-                degraded_pixels += 1;
-                metrics.mark_degraded_pixel();
-            }
-        }
-    }
-    metrics.set_wall_ns(start.elapsed().as_nanos() as u64);
-    Ok(TileImage {
-        image: cm.render_scaled(&grid, scale.0, scale.1, true),
-        degraded_pixels,
-    })
-}
-
-/// [`render_tile_tau`] on the tile-batched refinement path; with an
-/// unlimited budget the mask is bit-identical to the per-pixel path's.
-pub fn render_tile_tau_batched(
-    tev: &mut TileEvaluator<'_>,
-    raster: &RasterSpec,
-    tau: f64,
-    budget: &mut RenderBudget,
-    metrics: &mut RenderMetrics,
-) -> Result<TileImage, KdvError> {
-    render_tile_tau_batched_probed(tev, raster, tau, budget, metrics, &mut NoProbe)
-}
-
-/// [`render_tile_tau_batched`] with an additional caller-supplied
-/// probe, exactly as [`render_tile_eps_batched_probed`].
-pub fn render_tile_tau_batched_probed<X: Probe>(
-    tev: &mut TileEvaluator<'_>,
-    raster: &RasterSpec,
-    tau: f64,
-    budget: &mut RenderBudget,
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<TileImage, KdvError> {
-    validate_tau(tau)?;
-    let start = Instant::now();
-    let tile = tev.eval_tile_tau_with(
-        raster,
-        tau,
-        budget,
-        &mut TracingProbe::new(&mut metrics.events, &mut *extra),
-    );
-    let mut mask = BinaryGrid::falses(raster.width(), raster.height());
-    let mut undecided = 0u64;
-    for row in 0..raster.height() {
-        for col in 0..raster.width() {
-            let idx = (row * raster.width() + col) as usize;
-            let t = tile.taus[idx];
-            mask.set(col, row, t.hot);
-            metrics.record_pixel(col, row, &tile.stats[idx], 0);
-            if !t.decided {
-                undecided += 1;
-                metrics.mark_degraded_pixel();
-            }
-        }
-    }
-    metrics.set_wall_ns(start.elapsed().as_nanos() as u64);
-    Ok(TileImage {
-        image: crate::colormap::render_binary(&mask),
-        degraded_pixels: undecided,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::colormap::ColorMap;
+    use crate::request::{Engine, RenderOutput, RenderRequest, Stop};
     use kdv_core::bandwidth::scott_gamma;
     use kdv_core::bounds::BoundFamily;
+    use kdv_core::engine::{NoProbe, RefineEvaluator, RenderBudget};
     use kdv_core::kernel::Kernel;
     use kdv_data::Dataset;
     use kdv_index::KdTree;
+    use kdv_telemetry::RenderMetrics;
 
     fn setup() -> (kdv_geom::PointSet, Kernel, RasterSpec) {
         let ps = Dataset::Crime.generate(2000, 11);
@@ -336,6 +141,23 @@ mod tests {
         assert!(pyramid_raster(&rect, 0, 0, 0).is_err(), "non-square base");
     }
 
+    /// Renders one tile through the request, unlimited budget.
+    fn tile(
+        tree: &KdTree,
+        kernel: Kernel,
+        raster: &RasterSpec,
+        stop: Stop,
+        engine: Engine,
+        metrics: &mut RenderMetrics,
+    ) -> RenderOutput {
+        RenderRequest {
+            engine,
+            ..RenderRequest::new(tree, kernel, raster, stop)
+        }
+        .run(&mut RenderBudget::unlimited(), metrics, &mut NoProbe)
+        .expect("tile render")
+    }
+
     #[test]
     fn tile_renders_match_full_raster_windows() {
         let (ps, kernel, base) = setup();
@@ -351,25 +173,22 @@ mod tests {
         for ty in 0..2u32 {
             for tx in 0..2u32 {
                 let raster = pyramid_raster(&base, 1, tx, ty).expect("tile");
-                let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-                let mut budget = RenderBudget::unlimited();
                 let mut metrics = RenderMetrics::new();
-                let tile = render_tile_eps(
-                    &mut ev,
+                let out = tile(
+                    &tree,
+                    kernel,
                     &raster,
-                    0.01,
-                    &mut budget,
-                    &cm,
-                    (lo, hi),
+                    Stop::Rel(0.01),
+                    Engine::PerPixel,
                     &mut metrics,
-                )
-                .expect("tile render");
-                assert!(tile.is_complete());
+                );
+                assert!(out.complete);
                 assert_eq!(metrics.pixels, 16 * 16, "every tile pixel is metered");
+                let image = out.image(&cm, (lo, hi));
                 for row in 0..16 {
                     for col in 0..16 {
                         assert_eq!(
-                            tile.image.get(col, row),
+                            image.get(col, row),
                             reference.get(tx * 16 + col, ty * 16 + row),
                             "tile ({tx},{ty}) pixel ({col},{row})"
                         );
@@ -390,19 +209,32 @@ mod tests {
         let (lo, hi) = grid.min_max().expect("non-empty");
         let tau = lo + 0.35 * (hi - lo);
 
-        let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut b1 = RenderBudget::unlimited();
+        let cm = ColorMap::heat();
         let mut m1 = RenderMetrics::new();
-        let per_pixel = render_tile_tau(&mut ev, &raster, tau, &mut b1, &mut m1).expect("tau");
-
-        let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut b2 = RenderBudget::unlimited();
+        let per_pixel = tile(
+            &tree,
+            kernel,
+            &raster,
+            Stop::Tau(tau),
+            Engine::PerPixel,
+            &mut m1,
+        );
         let mut m2 = RenderMetrics::new();
-        let batched =
-            render_tile_tau_batched(&mut tev, &raster, tau, &mut b2, &mut m2).expect("tau");
+        let batched = tile(
+            &tree,
+            kernel,
+            &raster,
+            Stop::Tau(tau),
+            Engine::Batched,
+            &mut m2,
+        );
 
-        assert_eq!(per_pixel.image, batched.image, "τ masks must be identical");
-        assert_eq!(batched.degraded_pixels, 0);
+        assert_eq!(
+            per_pixel.image(&cm, (0.0, 1.0)),
+            batched.image(&cm, (0.0, 1.0)),
+            "τ masks must be identical"
+        );
+        assert_eq!(batched.degraded, 0);
         assert!(
             m2.frontier_reuse > 0,
             "batched tile must report shared-frontier reuse"
@@ -415,32 +247,24 @@ mod tests {
         let (ps, kernel, base) = setup();
         let tree = KdTree::build_default(&ps);
         let raster = pyramid_raster(&base, 1, 1, 0).expect("tile");
-        let cm = ColorMap::heat();
-        let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut budget = RenderBudget::unlimited();
         let mut metrics = RenderMetrics::new();
-        let tile = render_tile_eps_batched(
-            &mut tev,
+        let out = tile(
+            &tree,
+            kernel,
             &raster,
-            0.05,
-            &mut budget,
-            &cm,
-            (0.0, 1.0),
+            Stop::Rel(0.05),
+            Engine::Batched,
             &mut metrics,
-        )
-        .expect("tile render");
-        assert!(tile.is_complete());
+        );
+        assert!(out.complete);
         assert_eq!(metrics.pixels, 16 * 16, "every tile pixel is metered");
-        assert!(render_tile_eps_batched(
-            &mut tev,
-            &raster,
-            -1.0,
-            &mut budget,
-            &cm,
-            (0.0, 1.0),
-            &mut metrics,
-        )
-        .is_err());
+        let bad = RenderRequest {
+            engine: Engine::Batched,
+            ..RenderRequest::new(&tree, kernel, &raster, Stop::Rel(-1.0))
+        };
+        assert!(bad
+            .run(&mut RenderBudget::unlimited(), &mut metrics, &mut NoProbe)
+            .is_err());
     }
 
     #[test]
@@ -448,28 +272,29 @@ mod tests {
         let (ps, kernel, base) = setup();
         let tree = KdTree::build_default(&ps);
         let raster = pyramid_raster(&base, 0, 0, 0).expect("root");
-        let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut tiny = RenderBudget::unlimited().with_max_work(3 * raster.num_pixels() as u64);
-        let mut metrics = RenderMetrics::new();
-        let tile = render_tile_eps(
-            &mut ev,
-            &raster,
-            1e-7,
-            &mut tiny,
-            &ColorMap::heat(),
-            (0.0, 1.0),
-            &mut metrics,
-        )
-        .expect("degrades, not errors");
-        assert!(tile.degraded_pixels > 0);
-        assert!(!tile.is_complete());
-        assert_eq!(metrics.degraded_pixels, tile.degraded_pixels);
+        for engine in [Engine::PerPixel, Engine::Batched] {
+            let req = RenderRequest {
+                engine,
+                ..RenderRequest::new(&tree, kernel, &raster, Stop::Rel(1e-7))
+            };
+            let mut tiny = RenderBudget::unlimited().with_max_work(3 * raster.num_pixels() as u64);
+            let mut metrics = RenderMetrics::new();
+            let out = req
+                .run(&mut tiny, &mut metrics, &mut NoProbe)
+                .expect("degrades, not errors");
+            assert!(out.degraded > 0, "{engine:?}");
+            assert!(!out.complete);
+            assert_eq!(metrics.degraded_pixels, out.degraded);
 
-        let mut ev2 = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut tiny2 = RenderBudget::unlimited().with_max_work(raster.num_pixels() as u64);
-        let mut metrics2 = RenderMetrics::new();
-        let tau_tile = render_tile_tau(&mut ev2, &raster, 1e-3, &mut tiny2, &mut metrics2)
-            .expect("tau degrades");
-        assert!(tau_tile.degraded_pixels > 0);
+            let req = RenderRequest {
+                stop: Stop::Tau(1e-3),
+                ..req
+            };
+            let mut tiny2 = RenderBudget::unlimited().with_max_work(raster.num_pixels() as u64);
+            let out = req
+                .run(&mut tiny2, &mut RenderMetrics::new(), &mut NoProbe)
+                .expect("tau degrades");
+            assert!(out.degraded > 0, "{engine:?}");
+        }
     }
 }

@@ -11,18 +11,18 @@
 
 use kdv_core::bandwidth::scott_gamma;
 use kdv_core::bounds::BoundFamily;
-use kdv_core::engine::{RefineEvaluator, RenderBudget};
+use kdv_core::engine::{Probe, RefineEvaluator, RenderBudget};
 use kdv_core::kernel::Kernel;
-use kdv_core::method::{ExactScan, PixelEvaluator};
+use kdv_core::method::ExactScan;
 use kdv_core::raster::RasterSpec;
+use kdv_core::KdvError;
 use kdv_data::Dataset;
 use kdv_geom::PointSet;
 use kdv_index::KdTree;
 use kdv_telemetry::fault::POISON_MSG;
-use kdv_telemetry::{FaultPlan, FaultProbe};
-use kdv_viz::parallel::try_render_eps_parallel;
+use kdv_telemetry::{FaultPlan, FaultProbe, RenderMetrics};
 use kdv_viz::render::render_eps;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use kdv_viz::{BandProbe, RenderRequest, Stop};
 use std::time::Duration;
 
 struct Fixture {
@@ -145,87 +145,144 @@ fn slow_nodes_degrade_deadline_renders_instead_of_hanging() {
     );
 }
 
-/// Wraps a real evaluator with a poisoned fault probe. The probe
-/// panics after `poison_bound_after` node-bound evaluations.
-struct PoisonedEvaluator<'a> {
-    inner: RefineEvaluator<'a>,
+/// Hands each row band of a threaded render a [`FaultProbe`]: the
+/// first `poisoned` bands issued (workers, then retries, in issue
+/// order) panic after a few node-bound evaluations; later ones run
+/// clean.
+struct PoisonBands {
+    poisoned: usize,
+    issued: usize,
     probe: FaultProbe,
 }
 
-impl PixelEvaluator for PoisonedEvaluator<'_> {
-    fn eval_eps(&mut self, q: &[f64], eps: f64) -> f64 {
-        self.inner.eval_eps_with(q, eps, &mut self.probe)
-    }
-    fn eval_tau(&mut self, q: &[f64], tau: f64) -> bool {
-        self.inner.eval_tau_with(q, tau, &mut self.probe)
+impl PoisonBands {
+    fn new(poisoned: usize) -> Self {
+        Self {
+            poisoned,
+            issued: 0,
+            probe: FaultProbe::new(FaultPlan::default()),
+        }
     }
 }
 
-/// A poisoned bound evaluation in one worker: the parallel renderer
+impl Probe for PoisonBands {
+    fn heap_pop(&mut self) {
+        self.probe.heap_pop();
+    }
+    fn node_bound(&mut self) {
+        self.probe.node_bound();
+    }
+    fn force_resync(&mut self) -> bool {
+        self.probe.force_resync()
+    }
+}
+
+impl BandProbe for PoisonBands {
+    fn band(&mut self) -> Self {
+        self.issued += 1;
+        let poison = self.issued <= self.poisoned;
+        Self {
+            poisoned: 0,
+            issued: 0,
+            probe: FaultProbe::new(FaultPlan {
+                seed: 3,
+                poison_bound_after: poison.then_some(7),
+                ..FaultPlan::default()
+            }),
+        }
+    }
+    fn absorb(&mut self, _band: Self) {}
+}
+
+/// A threaded ε render of the fixture: 3 bands, ε = 0.01.
+fn threaded<'a>(tree: &'a KdTree, fx: &'a Fixture) -> RenderRequest<'a> {
+    RenderRequest {
+        threads: 3,
+        ..RenderRequest::new(tree, fx.kernel, &fx.raster, Stop::Rel(0.01))
+    }
+}
+
+/// Renders the fixture on 3 threads with the first worker poisoned
+/// and asserts the contained outcome: exactly one band retried, the
+/// output equal to the clean sequential render.
+fn assert_one_band_retry(fx: &Fixture, mut metrics: RenderMetrics, mut budget: RenderBudget) {
+    let tree = KdTree::try_build_default(&fx.points).expect("finite input");
+    let mut seq_ev = RefineEvaluator::new(&tree, fx.kernel, BoundFamily::Quadratic);
+    let seq = render_eps(&mut seq_ev, &fx.raster, 0.01);
+    let out = threaded(&tree, fx)
+        .run(&mut budget, &mut metrics, &mut PoisonBands::new(1))
+        .expect("retry must recover the poisoned band");
+    assert_eq!(out.band_retries, 1, "exactly one band was poisoned");
+    assert_eq!(metrics.band_retries, 1, "the retry is metered");
+    assert_eq!(
+        out.grid(),
+        Some(&seq),
+        "retried render must match the clean one"
+    );
+    assert!(out.complete);
+    assert_eq!(metrics.pixels, fx.raster.num_pixels() as u64);
+}
+
+/// A poisoned bound evaluation in one worker: the threaded render
 /// retries the band sequentially and the output is exactly the
 /// unfaulted render.
 #[test]
 fn poisoned_bound_evaluation_costs_one_band_retry() {
     let fx = fixture(2000, 31);
-    let tree = KdTree::try_build_default(&fx.points).expect("finite input");
-    let mut seq_ev = RefineEvaluator::new(&tree, fx.kernel, BoundFamily::Quadratic);
-    let seq = render_eps(&mut seq_ev, &fx.raster, 0.01);
-
-    let instances = AtomicUsize::new(0);
-    let outcome = try_render_eps_parallel(
-        || {
-            // Only the first-constructed evaluator is poisoned; the
-            // retry (and the other workers) run clean.
-            let poisoned = instances.fetch_add(1, Ordering::SeqCst) == 0;
-            PoisonedEvaluator {
-                inner: RefineEvaluator::new(&tree, fx.kernel, BoundFamily::Quadratic),
-                probe: FaultProbe::new(FaultPlan {
-                    seed: 3,
-                    poison_bound_after: poisoned.then_some(7),
-                    ..FaultPlan::default()
-                }),
-            }
-        },
-        &fx.raster,
-        0.01,
-        3,
-    )
-    .expect("retry must recover the poisoned band");
-    assert_eq!(outcome.band_retries, 1, "exactly one band was poisoned");
-    assert_eq!(outcome.grid, seq, "retried render must match the clean one");
+    assert_one_band_retry(&fx, RenderMetrics::new(), RenderBudget::unlimited());
 }
 
-/// A *deterministically* poisoned evaluator (every instance fails) is
-/// reported as a structured error carrying the injected panic payload
-/// — never swallowed, never an abort.
+/// The same with metering on (a cost map merged from the bands) and no
+/// budget.
+#[test]
+fn metered_threaded_render_retries_a_poisoned_band() {
+    let fx = fixture(2000, 31);
+    let metrics = RenderMetrics::with_cost_map(fx.raster.width(), fx.raster.height());
+    assert_one_band_retry(&fx, metrics, RenderBudget::unlimited());
+}
+
+/// The same under a work cap (which the clean render stays under): the
+/// retry gets a fresh share of the budget.
+#[test]
+fn budgeted_threaded_render_retries_a_poisoned_band() {
+    let fx = fixture(2000, 31);
+    let metrics = RenderMetrics::with_cost_map(fx.raster.width(), fx.raster.height());
+    assert_one_band_retry(
+        &fx,
+        metrics,
+        RenderBudget::unlimited().with_max_work(1_000_000),
+    );
+}
+
+/// A *deterministically* poisoned render (every band and every retry
+/// fails) is reported as a structured error carrying the injected
+/// panic message — never swallowed, never an abort — metered or not,
+/// budgeted or not.
 #[test]
 fn deterministic_poison_is_flagged_with_the_injected_message() {
     let fx = fixture(800, 37);
     let tree = KdTree::try_build_default(&fx.points).expect("finite input");
-    let (err, payload) = try_render_eps_parallel(
-        || PoisonedEvaluator {
-            inner: RefineEvaluator::new(&tree, fx.kernel, BoundFamily::Quadratic),
-            probe: FaultProbe::new(FaultPlan {
-                seed: 13,
-                poison_bound_after: Some(0),
-                ..FaultPlan::default()
-            }),
-        },
-        &fx.raster,
-        0.01,
-        2,
-    )
-    .expect_err("all-instances-poisoned cannot succeed");
-    assert!(matches!(err, kdv_core::KdvError::WorkerPanicked { .. }));
-    let msg = payload
-        .as_ref()
-        .and_then(|p| p.downcast_ref::<String>())
-        .cloned()
-        .expect("panic payload preserved");
-    assert!(
-        msg.starts_with(POISON_MSG),
-        "payload is the injected fault, not a masked real bug: {msg:?}"
-    );
+    for budget in [
+        RenderBudget::unlimited(),
+        RenderBudget::unlimited().with_max_work(1_000_000),
+    ] {
+        let mut budget = budget;
+        let mut metrics = RenderMetrics::with_cost_map(fx.raster.width(), fx.raster.height());
+        let err = RenderRequest {
+            threads: 2,
+            ..threaded(&tree, &fx)
+        }
+        .run(&mut budget, &mut metrics, &mut PoisonBands::new(usize::MAX))
+        .expect_err("all-bands-poisoned cannot succeed");
+        let KdvError::WorkerPanicked { band, message } = err else {
+            panic!("expected WorkerPanicked, got {err:?}");
+        };
+        assert_eq!(band, 0, "the first band's retry fails first");
+        assert!(
+            message.starts_with(POISON_MSG),
+            "payload is the injected fault, not a masked real bug: {message:?}"
+        );
+    }
 }
 
 /// The headline chaos sweep: under *every* fault plan in a seeded

@@ -99,13 +99,19 @@ fn parallel_png_pipeline() {
     let (points, kernel) = crime_workload(3000);
     let raster = RasterSpec::covering(&points, 40, 30, 0.02);
     let tree = KdTree::build_default(&points);
-    let grid = kdv::viz::parallel::render_eps_parallel(
-        || RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic),
-        &raster,
-        0.01,
-        4,
-    );
-    let img = ColorMap::heat().render(&grid, true);
+    let req = RenderRequest {
+        threads: 4,
+        ..RenderRequest::new(&tree, kernel, &raster, Stop::Rel(0.01))
+    };
+    let out = req
+        .run(
+            &mut RenderBudget::unlimited(),
+            &mut RenderMetrics::new(),
+            &mut NoProbe,
+        )
+        .expect("valid request");
+    assert_eq!(out.band_retries, 0);
+    let img = ColorMap::heat().render(out.grid().expect("density grid"), true);
     let bytes = png::encode(&img);
     assert!(bytes.starts_with(b"\x89PNG\r\n\x1a\n"));
     // PNG dimensions encoded big-endian in IHDR.
